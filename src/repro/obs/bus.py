@@ -12,7 +12,10 @@ one boolean test on the hot path -- the null-sink fast path the
 benchmarks guard (observability overhead <= 10% with no subscribers).
 
 Subscribers are plain callables; an optional ``kinds`` filter restricts
-delivery to the given event classes.  A failing subscriber is
+delivery to the given event classes.  :meth:`EventBus.accepts` tells a
+producer whether anyone would receive a given kind, so a producer of
+many events of a few kinds (the rewrite engine) can skip building them
+when the only subscribers filter on other kinds.  A failing subscriber is
 unsubscribed after :data:`MAX_SUBSCRIBER_ERRORS` consecutive errors
 rather than poisoning the rewrite, because observability must never
 change query results.  The detachment is itself observable: the bus
@@ -69,10 +72,12 @@ class EventBus:
     (currently ``obs.subscribers.detached``).
     """
 
-    __slots__ = ("_subscriptions", "_lock", "metrics")
+    __slots__ = ("_subscriptions", "_kinds", "_lock", "metrics")
 
     def __init__(self, metrics=None):
         self._subscriptions: list[Subscription] = []
+        # union of the subscribers' kinds; None when one accepts all
+        self._kinds: Optional[frozenset] = frozenset()
         self._lock = threading.Lock()
         self.metrics = metrics
 
@@ -87,22 +92,41 @@ class EventBus:
         with self._lock:
             # rebind instead of append: emit() reads the list reference
             # without the lock, so it must always see a complete list
-            self._subscriptions = self._subscriptions + [sub]
+            self._rebind(self._subscriptions + [sub])
         return sub
 
     def unsubscribe(self, handler: Callable[[Event], None]) -> None:
         # equality, not identity: bound methods are recreated per access
         with self._lock:
-            self._subscriptions = [
+            self._rebind([
                 s for s in self._subscriptions if s.handler != handler
-            ]
+            ])
 
     def _drop(self, sub: Subscription) -> None:
         with self._lock:
             if sub in self._subscriptions:
-                self._subscriptions = [
+                self._rebind([
                     s for s in self._subscriptions if s is not sub
-                ]
+                ])
+
+    def _rebind(self, subscriptions: list[Subscription]) -> None:
+        """Install a new subscriber list and its kind union (under the
+        lock)."""
+        kinds: Optional[set] = set()
+        for sub in subscriptions:
+            if sub.kinds is None:
+                kinds = None
+                break
+            kinds |= sub.kinds
+        self._subscriptions = subscriptions
+        self._kinds = None if kinds is None else frozenset(kinds)
+
+    def accepts(self, kinds: Iterable[Type[Event]]) -> bool:
+        """Would some subscriber receive an event of one of ``kinds``?"""
+        accepted = self._kinds
+        if accepted is None:
+            return True
+        return not accepted.isdisjoint(kinds)
 
     @property
     def active(self) -> bool:

@@ -11,7 +11,14 @@ query along independent paths and demands bag-equal results:
   rule set *and* catches inter-block feeding bugs the full-sequence
   check can mask (block B can undo block A's damage);
 * **tier** -- the same statement through a supervised pool worker
-  (its own process, booted from a snapshot) vs. in-process.
+  (its own process, booted from a snapshot) vs. in-process;
+* **memo** -- the rewrite engine's fast path (rule index, memo of
+  positions where no rule applies) vs. the plain outermost-first
+  scan: the same blocks, saturated, re-run in ``count="checks"``
+  mode, which keeps no memo, must give the same final plan, trace and
+  application count.  Unlike the other legs this compares *plans*,
+  not result bags: the fast path must not change what the rewriter
+  does at all.
 
 Results are compared as **bags**, not sets -- deliberately stricter
 than the historical property tests: an unsound DISTINCT elimination or
@@ -22,6 +29,7 @@ This matches the checked-mode validator
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +37,11 @@ from typing import Optional
 from repro.engine.database import Database
 
 __all__ = ["Divergence", "DifferentialOracle", "result_bag",
-           "describe_bags"]
+           "describe_bags", "rewrite_signature", "memo_divergence"]
+
+# fixpoint reduction names its magic/answer relations from a
+# process-wide counter, so two rewrites of one query differ there
+_FRESH_NAME = re.compile(r"\$(MAGIC|BOUND)(\d+)")
 
 
 def result_bag(rows: list[tuple]) -> Counter:
@@ -51,12 +63,53 @@ def describe_bags(expected: list[tuple], got: list[tuple]) -> str:
     return "; ".join(parts)
 
 
+def rewrite_signature(result) -> list[str]:
+    """A rewrite's application count, final term and trace as lines of
+    text, with magic-set suffixes renumbered by first appearance."""
+    from repro.terms.printer import term_to_str
+    lines = [f"applications {result.applications}",
+             f"final {term_to_str(result.term)}"]
+    lines.extend(
+        f"{e.block}/{e.rule} at {list(e.path)}: "
+        f"{term_to_str(e.before)} ==> {term_to_str(e.after)}"
+        for e in result.trace
+    )
+    numbers: dict[str, int] = {}
+
+    def renumber(match) -> str:
+        n = numbers.setdefault(match.group(2), len(numbers) + 1)
+        return f"${match.group(1)}#{n}"
+    return [_FRESH_NAME.sub(renumber, line) for line in lines]
+
+
+def memo_divergence(rewriter, typed) -> Optional[str]:
+    """Rewrite ``typed`` with ``rewriter``'s blocks saturated, once as
+    configured (indexed and memoized) and once counted by checks (no
+    memo); None when both give the same plan, trace and application
+    count, else the first differing line of their signatures."""
+    from repro.rules.control import Block, RewriteEngine, Seq
+    signatures = []
+    for count in ("applications", "checks"):
+        seq = Seq([Block(b.name, b.rules, None, count)
+                   for b in rewriter.seq.blocks],
+                  passes=rewriter.seq.passes)
+        result = RewriteEngine(seq).rewrite(typed, rewriter.context())
+        signatures.append(rewrite_signature(result))
+    fast, plain = signatures
+    if fast == plain:
+        return None
+    for index, (a, b) in enumerate(zip(fast, plain)):
+        if a != b:
+            return f"line {index}: memo {a!r} vs plain {b!r}"
+    return f"memo gave {len(fast)} line(s), plain {len(plain)}"
+
+
 @dataclass(frozen=True)
 class Divergence:
     """One confirmed non-equivalence between execution paths."""
 
     mode: str    # "rewrite[-error]" | "block:<name>" | "tier"
-                 # | "analyze[-error]"
+                 # | "analyze[-error]" | "memo[-error]"
     detail: str
     query: str
 
@@ -157,8 +210,20 @@ class DifferentialOracle:
                 case.query,
             )
 
+        from repro.lera.typecheck import typecheck
+        term = db._translate_single(case.query)
+        try:
+            typed, __ = typecheck(term, db.catalog)
+            problem = memo_divergence(db.optimizer.rewriter, typed)
+        except Exception as error:
+            return Divergence(
+                "memo-error", f"{type(error).__name__}: {error}",
+                case.query,
+            )
+        if problem is not None:
+            return Divergence("memo", problem, case.query)
+
         if self.check_subsets:
-            term = db._translate_single(case.query)
             for block in db.optimizer.rewriter.seq.blocks:
                 try:
                     rows = self._subset_rows(db, term, block.name)

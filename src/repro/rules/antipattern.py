@@ -53,6 +53,8 @@ class RedundantDistinctEliminationRule(NativeRule):
     a bare keyed base table.
     """
 
+    roots = frozenset({"DISTINCT"})
+
     def __init__(self, name: str = "ap_distinct_key"):
         super().__init__(name)
 

@@ -16,7 +16,12 @@ completely change the generated optimizer."
 The engine applies rules outermost-first: it scans the term top-down,
 tries each rule of the block at each position, applies the first
 application that *changes* the term, and restarts the scan.  A block
-finishes when its budget is exhausted or the term is saturated.
+finishes when its budget is exhausted or the term is saturated.  The
+scan offers a position only the rules indexed under its root functor,
+and remembers, for the length of one rewrite, the positions and whole
+subtrees where no rule of the block applies, so a restart skips them
+(see :class:`_BlockScan`); the first application it finds is the one
+the plain scan would find.
 
 The paper describes the limit both as "the maximum number of rule
 applications" and as decremented "each time a rule condition is
@@ -33,13 +38,15 @@ from typing import Iterable, Optional, Sequence
 from repro.errors import ReproError, RewriteError
 from repro.lera import ops
 from repro.lera.schema import Schema, schema_of
-from repro.obs.events import (BlockEnd, BlockStart, PassEnd, RuleAttempt,
-                              RuleFired)
+from repro.obs.events import (BlockEnd, BlockStart, CheckedRollback,
+                              ConstraintCheck, Degraded,
+                              DivergenceDetected, EquivalenceViolation,
+                              MethodCall, PassEnd, RuleAttempt,
+                              RuleFailed, RuleFired, RuleQuarantined)
 from repro.resilience.policy import (ResiliencePolicy, ResilienceRuntime,
                                      term_snippet)
 from repro.rules.rule import RewriteRule, RuleContext
-from repro.terms.term import (Const, Fun, Term, is_fun, replace_at,
-                              term_size)
+from repro.terms.term import Fun, Term, replace_at, term_size
 
 __all__ = ["Block", "Seq", "RewriteEngine", "RewriteResult", "TraceEntry"]
 
@@ -120,6 +127,15 @@ class Block:
         self.rules = list(rules)
         self.limit = limit
         self.count = count
+        self._index: Optional[_RuleIndex] = None
+
+    def rule_index(self) -> "_RuleIndex":
+        """The rules by lhs root functor, rebuilt when ``rules`` was
+        edited since the last call."""
+        index = self._index
+        if index is None or index.rules != self.rules:
+            index = self._index = _RuleIndex(self.rules)
+        return index
 
     def with_limit(self, limit: Optional[int]) -> "Block":
         return Block(self.name, self.rules, limit, self.count)
@@ -152,8 +168,9 @@ class RewriteEngine:
 
     ``obs`` is an optional :class:`~repro.obs.bus.EventBus`.  Every
     event construction sits behind a truthiness test of the bus (the
-    null-sink fast path), so an engine without subscribers pays only a
-    handful of ``None`` checks per block.
+    null-sink fast path), so an engine without subscribers -- or whose
+    subscribers accept no rewrite event -- pays only a handful of
+    ``None`` checks per block.
     """
 
     def __init__(self, seq: Seq, safety_limit: int = _SAFETY_LIMIT,
@@ -167,8 +184,8 @@ class RewriteEngine:
 
     def rewrite(self, term: Term, ctx: RuleContext) -> RewriteResult:
         result = RewriteResult(term)
-        self._schema_cache: dict = {}
-        bus = self.obs if self.obs else None
+        state = _RewriteState(ctx)
+        bus = _rewrite_bus(self.obs)
         runtime = (ResilienceRuntime(self.resilience)
                    if self.resilience is not None else None)
         for pass_index in range(self.seq.passes):
@@ -184,8 +201,8 @@ class RewriteEngine:
                 before = result.term
                 trace_mark = len(result.trace)
                 apps_mark = result.applications
-                self._run_block(block, result, ctx, bus, pass_index,
-                                runtime)
+                self._run_block(block, result, ctx, state, bus,
+                                pass_index, runtime)
                 if runtime and result.term != before and \
                         not runtime.validate_block(
                             block.name, before, result.term,
@@ -200,7 +217,6 @@ class RewriteEngine:
                     result.term = before
                     del result.trace[trace_mark:]
                     result.applications = apps_mark
-                    self._schema_cache.clear()
                     continue
                 if result.term != before:
                     changed = True
@@ -219,7 +235,8 @@ class RewriteEngine:
 
     # -- one block ----------------------------------------------------------
     def _run_block(self, block: Block, result: RewriteResult,
-                   ctx: RuleContext, bus=None, pass_index: int = 0,
+                   ctx: RuleContext, state: _RewriteState, bus=None,
+                   pass_index: int = 0,
                    runtime: Optional[ResilienceRuntime] = None) -> None:
         if bus:
             bus.emit(BlockStart(block.name, pass_index, block.limit,
@@ -229,15 +246,14 @@ class RewriteEngine:
         budget = block.limit
         exhausted = False
         history = runtime.history_for(result.term) if runtime else None
+        scan = _BlockScan(block, state, result, ctx, bus, runtime)
         while budget is None or budget > 0:
             if runtime:
                 reason = runtime.exhausted(result.applications)
                 if reason is not None:
                     runtime.degrade(reason, result.applications, bus)
                     break
-            application = self._find_application(
-                block, result, ctx, budget, bus, runtime
-            )
+            application = scan.find(budget)
             if application is None:
                 break
             path, before, after, rule_name, spent_checks, new_term, \
@@ -253,7 +269,6 @@ class RewriteEngine:
                     budget -= 1
             result.term = new_term
             result.applications += 1
-            self._schema_cache.clear()
             if self.collect_trace:
                 result.trace.append(TraceEntry(
                     block.name, rule_name, path, before, after,
@@ -294,155 +309,303 @@ class RewriteEngine:
                 consumed, perf_counter() - block_t0,
             ))
 
-    def _find_application(self, block: Block, result: RewriteResult,
-                          ctx: RuleContext, budget: Optional[int],
-                          bus=None,
-                          runtime: Optional[ResilienceRuntime] = None):
-        """First (position, rule) application that changes the term."""
-        checks_this_scan = 0
-        sandbox = runtime is not None and runtime.policy.sandbox
-        quarantined = runtime.quarantined if runtime else ()
-        for path, subterm, schemas, fix_env in _positions(
-                result.term, ctx, self._schema_cache):
-            for rule in block.rules:
-                if quarantined and rule.name in quarantined:
-                    continue
-                if not rule.quick_applicable(subterm):
-                    continue
-                checks_this_scan += 1
-                result.checks += 1
-                if block.count == "checks" and budget is not None and \
-                        checks_this_scan > budget:
-                    return None
-                local_ctx = RuleContext(
-                    catalog=ctx.catalog,
-                    schemas=schemas,
-                    constraint_evaluator=ctx.constraint_evaluator,
-                    methods=ctx.methods,
-                    fix_env=fix_env,
-                    obs=bus,
-                )
-                if bus:
-                    attempt_t0 = perf_counter()
-                if sandbox:
-                    try:
-                        application = rule.apply(subterm, local_ctx)
-                    except Exception as error:
-                        # one bad rule must not take down the rewrite:
-                        # record, maybe quarantine, and keep scanning
-                        runtime.record_failure(
-                            block.name, rule.name, path, error, bus,
-                        )
-                        if bus:
-                            bus.emit(RuleAttempt(
-                                block.name, rule.name, path, False,
-                                perf_counter() - attempt_t0,
-                            ))
-                        continue
-                else:
-                    application = rule.apply(subterm, local_ctx)
-                if application is not None:
-                    after, __ = application
-                    new_term = replace_at(result.term, path, after)
-                    if new_term == result.term:
-                        # a no-op once re-normalised at the parent (AC
-                        # deduplication): not an application at all
-                        if bus:
-                            bus.emit(RuleAttempt(
-                                block.name, rule.name, path, False,
-                                perf_counter() - attempt_t0,
-                            ))
-                        continue
-                    if bus:
-                        apply_time = perf_counter() - attempt_t0
-                        bus.emit(RuleAttempt(
-                            block.name, rule.name, path, True, apply_time,
-                        ))
-                    else:
-                        apply_time = 0.0
-                    return (path, subterm, after, rule.name,
-                            checks_this_scan, new_term, apply_time)
-                if bus:
-                    bus.emit(RuleAttempt(
-                        block.name, rule.name, path, False,
-                        perf_counter() - attempt_t0,
-                    ))
-        return None
+
+# every event a rewrite emits, directly, through the rule contexts it
+# hands to constraints and methods, or through the resilience runtime
+_REWRITE_EVENTS = frozenset({
+    BlockStart, BlockEnd, PassEnd, RuleAttempt, RuleFired,
+    ConstraintCheck, MethodCall, RuleFailed, RuleQuarantined, Degraded,
+    DivergenceDetected, CheckedRollback, EquivalenceViolation,
+})
 
 
-def _positions(term: Term, ctx: RuleContext, cache: dict):
-    """Pre-order traversal yielding (path, subterm, schemas, fix_env).
+def _rewrite_bus(obs):
+    """``obs`` when some subscriber accepts a rewrite event, else None.
 
-    ``schemas`` carries the input schemas of the nearest enclosing
-    operator when the position lies inside a qualification or a
-    projection list, so ISA constraints can type attribute references.
+    A bus whose subscribers all filter on other kinds (the serving
+    breaker listens to request events only) is treated as absent, so
+    the rewrite builds no events and never reads the clock.
     """
-    def input_schemas(rels, fix_env) -> Optional[list[Schema]]:
-        if ctx.catalog is None:
-            return None
-        out = []
-        for r in rels:
-            key = (r, tuple(sorted(fix_env.items(), key=lambda kv: kv[0])))
-            if key not in cache:
+    if not obs:
+        return None
+    accepts = getattr(obs, "accepts", None)
+    if accepts is None or accepts(_REWRITE_EVENTS):
+        return obs
+    return None
+
+
+class _RuleIndex(dict):
+    """Root functor name -> the block's rules that can match there.
+
+    The value holds, in block order, the rules whose lhs root is that
+    functor plus the wildcard rules (no ``roots``).  The key of a
+    non-``Fun`` subterm is None, which only the wildcards match.
+    Entries are built on first lookup.
+    """
+
+    def __init__(self, rules):
+        super().__init__()
+        self.rules = list(rules)
+
+    def __missing__(self, name):
+        found = self[name] = tuple(
+            rule for rule in self.rules
+            if getattr(rule, "roots", None) is None or name in rule.roots
+        )
+        return found
+
+
+# memo marks: no rule of the block applies at this position / anywhere
+# in the subtree rooted here
+_HERE, _SUBTREE = 1, 2
+# scan outcome: a checks-mode budget ran out mid-scan
+_STOP = object()
+
+
+class _RewriteState:
+    """Caches that live for one ``rewrite()`` call.
+
+    Every key is built from terms, which are immutable and carry
+    cached hashes, so no entry goes stale when a rule rewrites the
+    term: a changed subtree simply has new keys.  A position's context
+    is keyed by its enclosing relation terms and its chain of
+    enclosing ``FIX`` terms, which determine the schemas and the
+    fixpoint environment the rules see there.
+    """
+
+    __slots__ = ("catalog", "schemas", "envs", "memos")
+
+    def __init__(self, ctx: RuleContext):
+        self.catalog = ctx.catalog
+        self.schemas: dict = {}   # (relation, FIX chain) -> Schema | None
+        self.envs: dict = {(): dict(ctx.fix_env or {})}  # chain -> env
+        self.memos: Optional[dict] = None  # Block -> memo, on first use
+
+    def fix_env(self, chain: tuple) -> dict:
+        env = self.envs.get(chain)
+        if env is None:
+            outer = self.fix_env(chain[:-1])
+            env = dict(outer)
+            if self.catalog is not None:
+                fix = chain[-1]
                 try:
-                    cache[key] = schema_of(r, ctx.catalog, fix_env)
-                except ReproError:
-                    cache[key] = None
-            if cache[key] is None:
-                return None
-            out.append(cache[key])
-        return out
-
-    def rec(t: Term, path: tuple, schemas, fix_env):
-        yield path, t, schemas, fix_env
-        if not isinstance(t, Fun):
-            return
-
-        if t.name == "SEARCH":
-            rels = ops.rel_list(t)
-            inner = input_schemas(rels, fix_env)
-            rel_holder = t.args[0]
-            for i, r in enumerate(rel_holder.args):  # type: ignore
-                yield from rec(r, path + (0, i), None, fix_env)
-            yield from rec(t.args[1], path + (1,), inner, fix_env)
-            yield from rec(t.args[2], path + (2,), inner, fix_env)
-            return
-
-        if t.name == "JOIN":
-            rels = ops.rel_list(t)
-            inner = input_schemas(rels, fix_env)
-            rel_holder = t.args[0]
-            for i, r in enumerate(rel_holder.args):  # type: ignore
-                yield from rec(r, path + (0, i), None, fix_env)
-            yield from rec(t.args[1], path + (1,), inner, fix_env)
-            return
-
-        if t.name in ("FILTER", "PROJECTION"):
-            inner = input_schemas([t.args[0]], fix_env)
-            yield from rec(t.args[0], path + (0,), None, fix_env)
-            yield from rec(t.args[1], path + (1,), inner, fix_env)
-            return
-
-        if t.name in ("SEMIJOIN", "ANTIJOIN"):
-            inner = input_schemas([t.args[0], t.args[1]], fix_env)
-            yield from rec(t.args[0], path + (0,), None, fix_env)
-            yield from rec(t.args[1], path + (1,), None, fix_env)
-            yield from rec(t.args[2], path + (2,), inner, fix_env)
-            return
-
-        if t.name == "FIX":
-            rel_const = t.args[0]
-            name = str(rel_const.value)  # type: ignore[union-attr]
-            inner_env = dict(fix_env)
-            if ctx.catalog is not None:
-                try:
-                    inner_env[name] = schema_of(t, ctx.catalog, fix_env)
+                    env[str(fix.args[0].value)] = schema_of(
+                        fix, self.catalog, outer)
                 except ReproError:
                     pass
-            yield from rec(t.args[1], path + (1,), None, inner_env)
-            return
+            self.envs[chain] = env
+        return env
 
-        for i, a in enumerate(t.args):
-            yield from rec(a, path + (i,), schemas, fix_env)
+    def input_schemas(self, rels: Optional[tuple],
+                      chain: tuple) -> Optional[list[Schema]]:
+        if rels is None or self.catalog is None:
+            return None
+        out = []
+        for rel in rels:
+            key = (rel, chain)
+            try:
+                schema = self.schemas[key]
+            except KeyError:
+                try:
+                    schema = schema_of(rel, self.catalog,
+                                       self.fix_env(chain))
+                except ReproError:
+                    schema = None
+                self.schemas[key] = schema
+            if schema is None:
+                return None
+            out.append(schema)
+        return out
 
-    yield from rec(term, (), None, dict(ctx.fix_env or {}))
+    def memo(self, block: Block) -> dict:
+        if self.memos is None:
+            self.memos = {}
+        return self.memos.setdefault(block, {})
+
+
+class _BlockScan:
+    """The outermost-first scans of one block activation.
+
+    A position is offered only the rules its root functor indexes.
+    In an ``applications`` block, a position whose candidates all
+    returned None is recorded in the block's memo under (subterm,
+    enclosing relations, FIX chain), and a subtree whose positions are
+    all recorded is skipped whole by later scans.  Rule applications
+    are pure functions of exactly that key, so skipping never hides an
+    application.  Never recorded: a position where a rule produced a
+    no-op at the parent (that depends on the surrounding term), one
+    where a sandboxed rule raised, and anything in a ``checks`` block,
+    whose budget counts every condition check of a scan (A1/A2).
+    """
+
+    __slots__ = ("block", "state", "result", "ctx", "bus", "index",
+                 "leaf_rules", "count_checks", "memo", "runtime",
+                 "sandbox", "quarantined", "budget", "checks")
+
+    def __init__(self, block: Block, state: _RewriteState,
+                 result: RewriteResult, ctx: RuleContext, bus,
+                 runtime: Optional[ResilienceRuntime]):
+        self.block = block
+        self.state = state
+        self.result = result
+        self.ctx = ctx
+        self.bus = bus
+        self.index = block.rule_index()
+        self.leaf_rules = self.index[None]
+        self.count_checks = block.count == "checks"
+        memos = state.memos
+        self.memo = memos.get(block) if memos else None
+        self.runtime = runtime
+        self.sandbox = runtime is not None and runtime.policy.sandbox
+        self.quarantined = runtime.quarantined if runtime else ()
+        self.budget: Optional[int] = None
+        self.checks = 0
+
+    def find(self, budget: Optional[int]):
+        """First (position, rule) application that changes the term."""
+        self.budget = budget
+        self.checks = 0
+        found = self._visit(self.result.term, (), None, ())
+        return found if type(found) is tuple else None
+
+    def _visit(self, t: Term, path: tuple, rels, chain: tuple):
+        """Pre-order scan of ``t``: an application, ``_STOP``, or
+        whether no rule applies anywhere in the subtree."""
+        is_node = isinstance(t, Fun)
+        if not is_node and not self.leaf_rules:
+            return True
+        key = mark = None
+        if not self.count_checks:
+            key = (t, rels, chain)
+            if self.memo is not None:
+                mark = self.memo.get(key)
+                if mark is _SUBTREE:
+                    return True
+        if mark is _HERE:
+            here = True
+        else:
+            here = self._try_rules(t, path, rels, chain)
+            if here is not True and here is not False:
+                return here
+        clean = here
+        if is_node:
+            for child, step, child_rels, child_chain in _children(
+                    t, rels, chain):
+                found = self._visit(child, path + step, child_rels,
+                                    child_chain)
+                if found is False:
+                    clean = False
+                elif found is not True:
+                    return found
+        if here and key is not None and (clean or mark is None):
+            if self.memo is None:
+                self.memo = self.state.memo(self.block)
+            self.memo[key] = _SUBTREE if clean else _HERE
+        return clean
+
+    def _try_rules(self, t: Term, path: tuple, rels, chain: tuple):
+        """Try the candidates at one position: an application,
+        ``_STOP``, or whether every candidate returned None."""
+        block, result, bus = self.block, self.result, self.bus
+        quarantined = self.quarantined
+        clean = True
+        local_ctx = None
+        for rule in self.index[t.name if isinstance(t, Fun) else None]:
+            if quarantined and rule.name in quarantined:
+                continue
+            if not rule.quick_applicable(t):
+                continue
+            self.checks += 1
+            result.checks += 1
+            if self.count_checks and self.budget is not None and \
+                    self.checks > self.budget:
+                return _STOP
+            if local_ctx is None:
+                ctx = self.ctx
+                local_ctx = RuleContext(
+                    catalog=ctx.catalog,
+                    schemas=self.state.input_schemas(rels, chain),
+                    constraint_evaluator=ctx.constraint_evaluator,
+                    methods=ctx.methods,
+                    fix_env=self.state.fix_env(chain),
+                    obs=bus,
+                )
+            if bus:
+                attempt_t0 = perf_counter()
+            if self.sandbox:
+                try:
+                    application = rule.apply(t, local_ctx)
+                except Exception as error:
+                    # one bad rule must not take down the rewrite:
+                    # record, maybe quarantine, and keep scanning
+                    self.runtime.record_failure(
+                        block.name, rule.name, path, error, bus,
+                    )
+                    if bus:
+                        bus.emit(RuleAttempt(
+                            block.name, rule.name, path, False,
+                            perf_counter() - attempt_t0,
+                        ))
+                    clean = False
+                    continue
+            else:
+                application = rule.apply(t, local_ctx)
+            if application is not None:
+                after, __ = application
+                new_term = replace_at(result.term, path, after)
+                if new_term == result.term:
+                    # a no-op once re-normalised at the parent (AC
+                    # deduplication): not an application at all
+                    if bus:
+                        bus.emit(RuleAttempt(
+                            block.name, rule.name, path, False,
+                            perf_counter() - attempt_t0,
+                        ))
+                    clean = False
+                    continue
+                if bus:
+                    apply_time = perf_counter() - attempt_t0
+                    bus.emit(RuleAttempt(
+                        block.name, rule.name, path, True, apply_time,
+                    ))
+                else:
+                    apply_time = 0.0
+                return (path, t, after, rule.name, self.checks,
+                        new_term, apply_time)
+            if bus:
+                bus.emit(RuleAttempt(
+                    block.name, rule.name, path, False,
+                    perf_counter() - attempt_t0,
+                ))
+        return clean
+
+
+def _children(t: Fun, rels, chain: tuple):
+    """The scanned argument positions of ``t``, in pre-order, as
+    (subterm, path step, enclosing relations, FIX chain).
+
+    Inside a qualification or a projection list the enclosing
+    relations are the nearest operator's inputs, so ISA constraints
+    can type attribute references; they are None elsewhere.
+    """
+    args = t.args
+    name = t.name
+    if name == "SEARCH" or name == "JOIN":
+        inner = ops.rel_list(t)
+        for i, rel in enumerate(args[0].args):  # type: ignore[union-attr]
+            yield rel, (0, i), None, chain
+        yield args[1], (1,), inner, chain
+        if name == "SEARCH":
+            yield args[2], (2,), inner, chain
+    elif name == "FILTER" or name == "PROJECTION":
+        yield args[0], (0,), None, chain
+        yield args[1], (1,), (args[0],), chain
+    elif name == "SEMIJOIN" or name == "ANTIJOIN":
+        yield args[0], (0,), None, chain
+        yield args[1], (1,), None, chain
+        yield args[2], (2,), (args[0], args[1]), chain
+    elif name == "FIX":
+        yield args[1], (1,), None, chain + (t,)
+    else:
+        for i, arg in enumerate(args):
+            yield arg, (i,), rels, chain

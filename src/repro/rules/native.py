@@ -40,7 +40,14 @@ _STRUCTURAL = frozenset({
 
 
 class NativeRule:
-    """Base class; subclasses implement :meth:`apply`."""
+    """Base class; subclasses implement :meth:`apply`.
+
+    ``roots`` declares the functor names a subject's root must have
+    for :meth:`quick_applicable` to accept it (the engine's rule index
+    offers the rule only there); None, the default, means any term.
+    """
+
+    roots: Optional[frozenset] = None
 
     def __init__(self, name: str):
         self.name = name

@@ -69,7 +69,12 @@ class RuleContext:
 
 
 class RewriteRule:
-    """A compiled rewrite rule."""
+    """A compiled rewrite rule.
+
+    ``roots`` holds the functor names the lhs root can match, or None
+    when it can match anything (a variable or function-variable root);
+    the engine's rule index offers the rule only at those positions.
+    """
 
     def __init__(self, name: str, lhs: Term, constraints: tuple,
                  rhs: Term, methods: tuple, source: str = ""):
@@ -85,6 +90,8 @@ class RewriteRule:
             if isinstance(lhs, Fun) and lhs.name not in FUNVARS
             else None
         )
+        self.roots = (None if self._root_name is None
+                      else frozenset((self._root_name,)))
         self._validate()
 
     def _validate(self) -> None:
@@ -205,6 +212,21 @@ def compile_rule(parsed: ParsedRule, source: str = "") -> RewriteRule:
                        parsed.methods, source)
 
 
+_COMPILED: dict[str, RewriteRule] = {}
+
+
 def rule_from_text(source: str) -> RewriteRule:
-    """Parse and compile one rule from text."""
-    return compile_rule(parse_rule_text(source), source)
+    """Parse and compile one rule from text.
+
+    A named rule is compiled once per process per source text: rules
+    are immutable, so every rule set built from the same texts (each
+    ``regenerate_optimizer()``) shares the compiled objects.  An
+    anonymous rule is compiled afresh so each gets its own name.
+    """
+    rule = _COMPILED.get(source)
+    if rule is None:
+        parsed = parse_rule_text(source)
+        rule = compile_rule(parsed, source)
+        if parsed.name is not None:
+            _COMPILED[source] = rule
+    return rule

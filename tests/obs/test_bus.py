@@ -80,6 +80,53 @@ class TestNullSinkFastPath:
         assert result.applications == 0
 
 
+class TestAccepts:
+    def test_empty_bus_accepts_nothing(self):
+        assert not EventBus().accepts([RuleFired])
+
+    def test_union_of_subscriber_kinds(self):
+        bus = EventBus()
+        bus.subscribe(lambda e: None, kinds=[RuleFired])
+        bus.subscribe(lambda e: None, kinds=[PassEnd])
+        assert bus.accepts([RuleFired])
+        assert bus.accepts([BlockStart, PassEnd])
+        assert not bus.accepts([RuleAttempt, BlockStart])
+
+    def test_unfiltered_subscriber_accepts_everything(self):
+        bus = EventBus()
+        bus.subscribe(lambda e: None, kinds=[RuleFired])
+        sub = bus.subscribe(lambda e: None)
+        assert bus.accepts([RuleAttempt])
+        sub.cancel()
+        assert not bus.accepts([RuleAttempt])
+
+    def test_unsubscribe_shrinks_the_union(self):
+        bus = EventBus()
+        handler = [].append
+        bus.subscribe(handler, kinds=[RuleAttempt])
+        assert bus.accepts([RuleAttempt])
+        bus.unsubscribe(handler)
+        assert not bus.accepts([RuleAttempt])
+
+    def test_engine_ignores_bus_without_rewrite_subscribers(self):
+        """A bus whose only subscriber wants non-rewrite kinds is
+        treated as absent: no rule events, no clock reads."""
+        from repro.obs.events import RequestCompleted
+        from repro.rules.control import Block, RewriteEngine, Seq
+        from repro.rules.rule import RuleContext, rule_from_text
+        from repro.terms.parser import parse_term
+
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append, kinds=[RequestCompleted])
+        block = Block("b", [rule_from_text("shrink: P(P(x)) --> P(x)")])
+        result = RewriteEngine(Seq([block]), obs=bus).rewrite(
+            parse_term("P(P(P(1)))"), RuleContext())
+        assert result.applications == 2
+        assert [e.duration for e in result.trace] == [0.0, 0.0]
+        assert seen == []
+
+
 class TestQuarantine:
     def test_failing_subscriber_dropped_after_threshold(self):
         bus = EventBus()

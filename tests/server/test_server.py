@@ -386,3 +386,44 @@ class TestCLITop:
     def test_top_requires_serving(self):
         (out,) = list(self._shell().run([".top"]))
         assert out.startswith("error:")
+
+
+class TestServedRewriteEvents:
+    """The breaker subscribes to request events only: a served rewrite
+    must not build a rule event per condition check just for it."""
+
+    QUERY = "SELECT B FROM BIG WHERE A = 2"
+
+    def _served(self):
+        server = _server()
+        server.db.execute(
+            "CREATE VIEW BIG (A, B) AS SELECT A, B FROM T WHERE B > 5")
+        return server
+
+    def test_breaker_only_server_builds_no_rule_attempts(self,
+                                                         monkeypatch):
+        import repro.rules.control as control
+        built = []
+        real = control.RuleAttempt
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(control, "RuleAttempt", counting)
+        server = self._served()
+        client = server.client()
+        assert client.query(self.QUERY).rows == [(20,)]
+        assert built == []
+
+    def test_rule_attempt_subscriber_sees_every_check(self):
+        from repro.obs.events import BlockEnd, RuleAttempt
+        server = self._served()
+        client = server.client()
+        seen = []
+        server.bus.subscribe(seen.append, kinds=[RuleAttempt, BlockEnd])
+        assert client.query(self.QUERY).rows == [(20,)]
+        attempts = [e for e in seen if isinstance(e, RuleAttempt)]
+        checks = sum(e.checks for e in seen if isinstance(e, BlockEnd))
+        assert checks > 0
+        assert len(attempts) == checks
