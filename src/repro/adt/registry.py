@@ -72,6 +72,8 @@ class FunctionRegistry:
 
     def __init__(self):
         self._defs: dict[str, dict[Optional[int], FunctionDef]] = {}
+        # bumped by every registration (part of the catalog epoch)
+        self.version = 0
 
     def register(self, fdef: FunctionDef, replace: bool = False) -> FunctionDef:
         key = fdef.name.upper()
@@ -81,6 +83,7 @@ class FunctionRegistry:
                 f"function {key}/{fdef.arity} already registered"
             )
         by_arity[fdef.arity] = fdef
+        self.version += 1
         return fdef
 
     def define(self, name: str, impl: Impl, arity: Optional[int] = None,

@@ -211,6 +211,8 @@ class TypeSystem:
         for atom in (BOOLEAN, INT, REAL, NUMERIC, CHAR):
             self._types[atom.name] = atom
         self._types["ANY"] = ANY
+        # bumped by every definition (part of the catalog epoch)
+        self.version = 0
 
     # -- definition --------------------------------------------------------
     def define(self, dtype: DataType) -> DataType:
@@ -218,6 +220,7 @@ class TypeSystem:
         if key in self._types:
             raise TypeSystemError(f"type {dtype.name!r} already defined")
         self._types[key] = dtype
+        self.version += 1
         return dtype
 
     def define_enumeration(self, name: str,

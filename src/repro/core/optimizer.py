@@ -18,10 +18,21 @@ from repro.engine.catalog import Catalog
 from repro.lera.schema import Schema
 from repro.lera.typecheck import typecheck
 from repro.core.rewriter import QueryRewriter
-from repro.rules.control import RewriteResult
+from repro.obs.events import PhaseEnd, PhaseStart
+from repro.rules.control import REWRITE_EVENTS, RewriteResult, listens
 from repro.terms.term import Term
 
-__all__ = ["Optimizer", "OptimizedQuery"]
+__all__ = ["Optimizer", "OptimizedQuery", "observes_optimizer"]
+
+_OPTIMIZER_EVENTS = REWRITE_EVENTS | {PhaseStart, PhaseEnd}
+
+
+def observes_optimizer(obs) -> bool:
+    """True when some subscriber of the bus ``obs`` accepts an event
+    :meth:`Optimizer.optimize` emits: a rewrite event, or a
+    ``PhaseStart`` / ``PhaseEnd``.  A plan-cache hit skips the
+    optimizer, so it is allowed only when nobody would miss them."""
+    return listens(obs, _OPTIMIZER_EVENTS)
 
 
 @dataclass
@@ -34,6 +45,8 @@ class OptimizedQuery:
     final: Term
     schema: Schema
     rewrite_result: RewriteResult
+    # the firings as recorded in the database's rewrite ledger
+    provenance: list = field(default_factory=list)
 
     @property
     def trace(self):
@@ -113,7 +126,6 @@ class Optimizer:
         else:
             from time import perf_counter
 
-            from repro.obs.events import PhaseEnd, PhaseStart
             bus.emit(PhaseStart("optimize"))
             t_opt = perf_counter()
             bus.emit(PhaseStart("typecheck"))
@@ -137,12 +149,13 @@ class Optimizer:
             bus.emit(PhaseEnd("typecheck_final", perf_counter() - t0))
             bus.emit(PhaseEnd("optimize", perf_counter() - t_opt))
         ledger = self.ledger
+        provenance = []
         if ledger is not None and result.trace:
             from repro.esql.fingerprint import current_fingerprint
             from repro.obs.telemetry import current_trace
             trace = current_trace()
             fingerprint = current_fingerprint()
-            ledger.record(
+            provenance = ledger.record(
                 result, trace.trace_id if trace else "",
                 fingerprint.fingerprint if fingerprint else "",
             )
@@ -153,6 +166,7 @@ class Optimizer:
             final=final,
             schema=schema,
             rewrite_result=result,
+            provenance=provenance,
         )
 
     def _resilience_policy(self, resilience, deadline_ms,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from repro.engine.catalog import Catalog
@@ -137,6 +137,21 @@ class RewriteLedger:
         if not result.trace:
             return []
         entries = provenance_entries(result, trace_id, fingerprint)
+        self._add(entries)
+        return entries
+
+    def replay(self, entries, trace_id: str = "",
+               fingerprint: str = "") -> None:
+        """Record the firings of a cached plan once more, restamped
+        with the current trace id and fingerprint: a plan-cache hit
+        reads in ``sys.rewrites`` / ``sys.rule_heat`` like the rewrite
+        it skipped."""
+        if entries:
+            self._add([replace(e, trace_id=trace_id,
+                               fingerprint=fingerprint)
+                       for e in entries])
+
+    def _add(self, entries: list[ProvenanceEntry]) -> None:
         with self._lock:
             self._ring.extend(entries)
             self._recorded += len(entries)
@@ -147,7 +162,6 @@ class RewriteLedger:
                 slot[0] += 1
                 slot[1] += e.complexity_delta
                 slot[2] += e.duration_ms
-        return entries
 
     def entries(self) -> list[ProvenanceEntry]:
         """Snapshot of the ring, oldest first."""
@@ -214,6 +228,8 @@ class QueryRewriter:
             )
         self.seq = seq
         self.collect_trace = collect_trace
+        # bumped by every extension-point call (see stamp())
+        self._version = 0
 
     @classmethod
     def from_program(cls, catalog: Catalog, program: str,
@@ -246,9 +262,11 @@ class QueryRewriter:
             target.rules.append(rule)
         else:
             target.rules.insert(position, rule)
+        self._version += 1
 
     def add_block(self, block: Block,
                   before: Optional[str] = None) -> None:
+        self._version += 1
         if before is None:
             self.seq.blocks.append(block)
             return
@@ -262,14 +280,26 @@ class QueryRewriter:
         for i, b in enumerate(self.seq.blocks):
             if b.name == name:
                 self.seq.blocks[i] = b.with_limit(limit)
+                self._version += 1
                 return
         raise RewriteError(f"no block named {name!r}")
 
     def add_method(self, name: str, arity: int, impl) -> None:
         self.methods.register(name, arity, impl)
+        self._version += 1
 
     def add_predicate(self, name: str, predicate) -> None:
         self.constraint_evaluator.register(name, predicate)
+        self._version += 1
+
+    def stamp(self) -> tuple:
+        """Changes whenever this optimizer could rewrite differently:
+        after any extension-point call above, and after an in-place
+        edit of a block's ``rules`` list (the block's rule index is
+        rebuilt, and a rebuilt index has a new serial).  Plan caches
+        compare it."""
+        return (self._version, self.seq.passes,
+                tuple(b.rule_index().serial for b in self.seq.blocks))
 
     # -- rewriting -------------------------------------------------------------
     def context(self) -> RuleContext:

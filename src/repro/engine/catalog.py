@@ -57,6 +57,16 @@ class Catalog:
         # integrity constraints are stored as rewrite rules (section 6.1);
         # the list holds whatever rule objects repro.rules produces.
         self.integrity_constraints: list = []
+        # bumped by every relation, view and virtual (re)definition
+        self._epoch = 0
+
+    @property
+    def epoch(self) -> int:
+        """Changes whenever a definition a plan can depend on changes:
+        relations, views, virtual relations, types or functions (data
+        changes leave it alone).  Plan caches compare it."""
+        return (self._epoch + self.type_system.version
+                + self.registry.version)
 
     # -- relations ---------------------------------------------------------
     def define_table(self, name: str,
@@ -76,6 +86,7 @@ class Catalog:
         )
         rel = BaseRelation(key, schema, key_positions)
         self._relations[key] = rel
+        self._epoch += 1
         return rel
 
     def primary_key_of(self, name: str) -> tuple[int, ...]:
@@ -89,6 +100,7 @@ class Catalog:
         if key not in self._relations:
             raise CatalogError(f"unknown table {name!r}")
         del self._relations[key]
+        self._epoch += 1
 
     def table(self, name: str) -> BaseRelation:
         try:
@@ -129,6 +141,7 @@ class Catalog:
         if key in self._relations or key in self._views:
             raise CatalogError(f"relation {view.name!r} already exists")
         self._views[key] = view
+        self._epoch += 1
         return view
 
     def drop_view(self, name: str) -> None:
@@ -136,6 +149,7 @@ class Catalog:
         if key not in self._views:
             raise CatalogError(f"unknown view {name!r}")
         del self._views[key]
+        self._epoch += 1
 
     def view(self, name: str) -> Optional[ViewDef]:
         return self._views.get(name.upper())
@@ -165,6 +179,7 @@ class Catalog:
         virtual = VirtualRelation(key, Schema(columns), producer,
                                   description)
         self._virtuals[key] = virtual
+        self._epoch += 1
         return virtual
 
     def is_virtual(self, name: str) -> bool:

@@ -21,11 +21,13 @@ from typing import Optional
 from repro.core.explain import explain_json, explain_text
 from repro.core.extension import Extension
 from repro.obs.profile import Profiler
-from repro.core.optimizer import OptimizedQuery, Optimizer
+from repro.core.optimizer import (OptimizedQuery, Optimizer,
+                                  observes_optimizer)
 from repro.core.rewriter import QueryRewriter, RewriteLedger
 from repro.engine.analyze import AnalyzeCollector
 from repro.engine.catalog import Catalog
 from repro.engine.evaluate import Evaluator, Result
+from repro.engine.plan_cache import CachedPlan, PlanCache
 from repro.engine.stats import EvalStats
 from repro.errors import (BudgetExceeded, DurabilityError, QueryCancelled,
                           TranslationError)
@@ -144,6 +146,9 @@ class Database:
         # (sys.plan_nodes); owned here for the same lifetime reason
         self.workload = StatementStats()
         self.plan_log = PlanLog()
+        # optimized plans of recently queried texts (sys.plan_cache);
+        # see _query_source for when a call may use it
+        self.plan_cache = PlanCache()
         if path is not None:
             from repro.durability import DurabilityManager
             self.durability = DurabilityManager(path, sync=sync, obs=obs)
@@ -354,17 +359,15 @@ class Database:
                 if guard is None:
                     term = self._apply_statement(statement, source)
                     if term is not None:
-                        results.append(
-                            self._run(term, self.rewrite_default,
-                                      obs=obs)[0]
-                        )
+                        results.append(self._optimize_and_evaluate(
+                            term, self.rewrite_default, obs=obs,
+                        )[0])
                 elif ast.is_query(statement):
                     with guard.read():
                         term = self._apply_statement(statement, source)
-                        results.append(
-                            self._run(term, self.rewrite_default,
-                                      obs=obs)[0]
-                        )
+                        results.append(self._optimize_and_evaluate(
+                            term, self.rewrite_default, obs=obs,
+                        )[0])
                 else:
                     if ctx is not None:
                         ctx.enter_phase("write")
@@ -478,26 +481,22 @@ class Database:
         :class:`~repro.engine.analyze.AnalyzeCollector` to inspect
         afterwards): per-operator actuals land in ``sys.plan_nodes``;
         result rows are unchanged.
+
+        A statement text queried before may reuse its optimized plan
+        from :attr:`plan_cache` instead of being parsed, translated
+        and rewritten again; see :meth:`_query_source` for when.
         """
         collector = _as_collector(analyze)
+        use_rewrite = self.rewrite_default if rewrite is None else rewrite
         with self._statement_context(
             source=source, timeout_ms=timeout_ms, row_budget=row_budget,
             memory_budget=memory_budget, degrade=degrade,
             session=session,
-        ):
-            guard = self.guard
-            if guard is None:
-                return self._query_term(
-                    self._translate_single(source), rewrite, stats,
-                    checked=checked, deadline_ms=deadline_ms, obs=obs,
-                    analyze=collector,
-                )
-            with guard.read():
-                return self._query_term(
-                    self._translate_single(source), rewrite, stats,
-                    checked=checked, deadline_ms=deadline_ms, obs=obs,
-                    analyze=collector,
-                )
+        ), self._read_guard():
+            return self._query_source(
+                source, use_rewrite, stats, checked, deadline_ms, obs,
+                collector,
+            )
 
     def query_with_stats(
         self, source: str, rewrite: Optional[bool] = None,
@@ -602,7 +601,8 @@ class Database:
                 if collector is not None:
                     nodes = collector.snapshot()
                 self._record_statement(
-                    result, optimized, rewrite_s, eval_s, nodes
+                    result, len(optimized.trace), rewrite_s, eval_s,
+                    nodes,
                 )
             # inside the statement extent on purpose: the report's
             # lifecycle section reads the ambient QueryContext
@@ -660,20 +660,12 @@ class Database:
         statements = parse_script_with_sources(source)
         if len(statements) != 1:
             raise TranslationError("expected exactly one statement")
-        term = self.translator.execute(statements[0][0])
-        if term is None:
+        statement = statements[0][0]
+        # checked before translating: Translator.execute *applies*
+        # DML, which must never run on the read path
+        if not ast.is_query(statement):
             raise TranslationError("the statement is not a query")
-        return term
-
-    def _query_term(self, term: Term, rewrite: Optional[bool],
-                    stats: Optional[EvalStats],
-                    checked: Optional[bool] = None,
-                    deadline_ms: Optional[float] = None,
-                    obs=None, analyze=None) -> Result:
-        use_rewrite = self.rewrite_default if rewrite is None else rewrite
-        return self._run(term, use_rewrite, stats,
-                         checked=checked, deadline_ms=deadline_ms,
-                         obs=obs, analyze=analyze)[0]
+        return self.translator.execute(statement)
 
     def _resilience_kwargs(self, checked: Optional[bool] = None,
                            deadline_ms: Optional[float] = None) -> dict:
@@ -706,28 +698,74 @@ class Database:
             return {"resilience": ResiliencePolicy()}
         return {"deadline_ms": use_deadline, "checked": use_checked}
 
-    def _run(self, term: Term, rewrite: bool,
-             stats: Optional[EvalStats] = None,
-             checked: Optional[bool] = None,
-             deadline_ms: Optional[float] = None,
-             obs=None, analyze=None,
-             ) -> tuple[Result, OptimizedQuery]:
-        guard = self.guard
-        if guard is None:
-            return self._optimize_and_evaluate(
-                term, rewrite, stats, checked, deadline_ms, obs, analyze
-            )
-        with guard.read():
-            return self._optimize_and_evaluate(
-                term, rewrite, stats, checked, deadline_ms, obs, analyze
-            )
+    def _query_source(self, source: str, rewrite: bool,
+                      stats: Optional[EvalStats], checked: Optional[bool],
+                      deadline_ms: Optional[float], obs,
+                      analyze: Optional[AnalyzeCollector]) -> Result:
+        """Plan one SELECT text, then evaluate the plan.
+
+        The plan comes from :attr:`plan_cache` only on the plain path:
+        no EXPLAIN ANALYZE, no dynamic limits, no checked mode, and no
+        subscriber of ``obs`` that wants optimizer events (a hit emits
+        none).  A deadline does not matter: a hit spends no rewrite
+        time.  The entry is keyed on the exact text and the rewrite
+        flag, and stamped with everything its plan depends on; a stale
+        stamp is a miss.  Only a clean rewrite is stored (see
+        :func:`_reusable`).
+        """
+        optimizer = self.optimizer
+        cacheable = (
+            analyze is None and not optimizer.dynamic_limits
+            and not (self.checked if checked is None else checked)
+            and not observes_optimizer(obs)
+        )
+        if cacheable:
+            key = (source, rewrite)
+            stamp = (optimizer, self.catalog.epoch,
+                     optimizer.rewriter.stamp(), self.quarantine.version)
+            entry = self.plan_cache.get(key, stamp)
+            if entry is not None:
+                if entry.provenance:
+                    from repro.obs.telemetry import current_trace
+                    trace = current_trace()
+                    fp = current_fingerprint()
+                    self.ledger.replay(
+                        entry.provenance,
+                        trace.trace_id if trace is not None else "",
+                        fp.fingerprint if fp else "",
+                    )
+                return self._evaluate(entry.plan, entry.firings, 0.0,
+                                      stats, obs)
+        optimized, rewrite_s = self._optimize(
+            self._translate_single(source), rewrite, checked,
+            deadline_ms, obs,
+        )
+        if cacheable and _reusable(optimized):
+            self.plan_cache.put(key, CachedPlan(
+                stamp, optimized.final, len(optimized.trace),
+                tuple(optimized.provenance),
+            ))
+        return self._evaluate(optimized.final, len(optimized.trace),
+                              rewrite_s, stats, obs, analyze)
 
     def _optimize_and_evaluate(
         self, term: Term, rewrite: bool,
-        stats: Optional[EvalStats],
-        checked: Optional[bool], deadline_ms: Optional[float],
-        obs, analyze=None,
+        stats: Optional[EvalStats] = None,
+        checked: Optional[bool] = None,
+        deadline_ms: Optional[float] = None,
+        obs=None,
     ) -> tuple[Result, OptimizedQuery]:
+        optimized, rewrite_s = self._optimize(
+            term, rewrite, checked, deadline_ms, obs
+        )
+        result = self._evaluate(optimized.final, len(optimized.trace),
+                                rewrite_s, stats, obs)
+        return result, optimized
+
+    def _optimize(self, term: Term, rewrite: bool,
+                  checked: Optional[bool], deadline_ms: Optional[float],
+                  obs) -> tuple[OptimizedQuery, float]:
+        """Run the optimizer; returns the plan and the seconds spent."""
         context = current_context()
         if context is not None:
             context.enter_phase("optimize")
@@ -736,7 +774,13 @@ class Database:
             term, rewrite=rewrite, obs=obs,
             **self._resilience_kwargs(checked, deadline_ms),
         )
-        rewrite_s = perf_counter() - t0
+        return optimized, perf_counter() - t0
+
+    def _evaluate(self, plan: Term, firings: int, rewrite_s: float,
+                  stats: Optional[EvalStats], obs,
+                  analyze: Optional[AnalyzeCollector] = None) -> Result:
+        """Evaluate a final plan and record the execution."""
+        context = current_context()
         if context is not None:
             context.enter_phase("evaluate")
         evaluator = Evaluator(
@@ -744,14 +788,14 @@ class Database:
             hash_joins=self.hash_joins, obs=obs, analyze=analyze,
         )
         t1 = perf_counter()
-        result = evaluator.evaluate(optimized.final)
+        result = evaluator.evaluate(plan)
         self._record_statement(
-            result, optimized, rewrite_s, perf_counter() - t1,
+            result, firings, rewrite_s, perf_counter() - t1,
             analyze.snapshot() if analyze is not None else None,
         )
-        return result, optimized
+        return result
 
-    def _record_statement(self, result: Result, optimized: OptimizedQuery,
+    def _record_statement(self, result: Result, firings: int,
                           rewrite_s: float, eval_s: float,
                           analyze_nodes: Optional[list] = None) -> None:
         """Fold one completed execution into the workload views."""
@@ -762,7 +806,7 @@ class Database:
                 rewrite_ms=rewrite_s * 1000.0,
                 eval_ms=eval_s * 1000.0,
                 rows=len(result.rows),
-                rule_firings=len(optimized.rewrite_result.trace),
+                rule_firings=firings,
             )
         if analyze_nodes is not None:
             from repro.obs.telemetry import current_trace
@@ -772,3 +816,17 @@ class Database:
                 trace.trace_id if trace is not None else "",
                 analyze_nodes,
             )
+
+
+def _reusable(optimized: OptimizedQuery) -> bool:
+    """May this optimization be cached?  Only when its rewrite ran to
+    completion with nothing going wrong: not degraded, and its
+    resilience report (if any) records no rule failure, quarantine,
+    divergence or checked-mode rollback."""
+    if optimized.degraded:
+        return False
+    report = optimized.resilience
+    return report is None or not (
+        report.rule_failures or report.quarantined
+        or report.divergence or report.rollbacks
+    )

@@ -53,6 +53,8 @@ SYS_RELATIONS = {
                       "(pg_stat_statements style)",
     "sys.plan_nodes": "per-operator actuals of the last analyzed plans",
     "sys.quarantine": "rules benched for changing query answers",
+    "sys.plan_cache": "plan cache counters: capacity, entries, hits, "
+                      "misses, evictions, invalidations",
     "sys.wal": "committed statements in the write-ahead log",
     "sys.snapshots": "the durability snapshot file, if any",
 }
@@ -144,6 +146,14 @@ def register_introspection(db, server=None) -> None:
          ("Detail", CHAR), ("BenchedAt", REAL)],
         lambda: _quarantine_rows(db.quarantine),
         SYS_RELATIONS["sys.quarantine"],
+    )
+
+    catalog.register_virtual(
+        "sys.plan_cache",
+        [("Capacity", INT), ("Entries", INT), ("Hits", INT),
+         ("Misses", INT), ("Evictions", INT), ("Invalidations", INT)],
+        lambda: [tuple(db.plan_cache.stats().values())],
+        SYS_RELATIONS["sys.plan_cache"],
     )
 
     catalog.register_virtual(

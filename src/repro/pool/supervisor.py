@@ -340,7 +340,7 @@ class Supervisor:
             context.enter_phase("pool")
         message = {
             "type": "execute", "id": request_id, "source": source,
-            "sync": sync, "version": version,
+            "class": request_class, "sync": sync, "version": version,
             "timeout_ms": (context.remaining_ms()
                            if context is not None else None),
             "row_budget": getattr(context, "row_budget", None),

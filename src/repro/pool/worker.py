@@ -43,8 +43,6 @@ import time
 from repro.durability.snapshot import encode_value, restore_state
 from repro.engine.database import Database
 from repro.errors import ReproError, error_payload
-from repro.esql import ast
-from repro.esql.parser import parse_script_with_sources
 from repro.pool.protocol import FrameError, recv_frame, send_frame
 
 __all__ = ["worker_main"]
@@ -168,19 +166,18 @@ class _Worker:
     def _run_statement(self, frame: dict) -> dict:
         db = self.db
         source = frame["source"]
-        statements = parse_script_with_sources(source)
-        is_read = (len(statements) == 1
-                   and ast.is_query(statements[0][0]))
         budgets = {
             "timeout_ms": frame.get("timeout_ms"),
             "row_budget": frame.get("row_budget"),
             "memory_budget": frame.get("memory_budget"),
             "degrade": frame.get("degrade"),
         }
-        if not is_read:
+        if frame.get("class") == "write":
             # the isolation-test path: DML applies to this worker's
             # private copy under its own undo log; the parent database
-            # is untouched (the server never routes DML here)
+            # is untouched (the server never routes DML here).  A read
+            # frame goes to db.query, which refuses anything but a
+            # query -- so a read can never mutate the replica
             db.execute(source, **budgets)
             return {"type": "result", "rows": None, "columns": [],
                     "types": [], **self._work_counters(),

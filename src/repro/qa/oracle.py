@@ -18,7 +18,10 @@ query along independent paths and demands bag-equal results:
   mode, which keeps no memo, must give the same final plan, trace and
   application count.  Unlike the other legs this compares *plans*,
   not result bags: the fast path must not change what the rewriter
-  does at all.
+  does at all;
+* **cache** -- the rewritten query once more through
+  ``Database.query``, now a plan-cache hit: the hit must return the
+  miss's bag, and the cached plan must equal a fresh ``optimize()``.
 
 Results are compared as **bags**, not sets -- deliberately stricter
 than the historical property tests: an unsound DISTINCT elimination or
@@ -37,7 +40,8 @@ from typing import Optional
 from repro.engine.database import Database
 
 __all__ = ["Divergence", "DifferentialOracle", "result_bag",
-           "describe_bags", "rewrite_signature", "memo_divergence"]
+           "describe_bags", "rewrite_signature", "memo_divergence",
+           "cache_divergence"]
 
 # fixpoint reduction names its magic/answer relations from a
 # process-wide counter, so two rewrites of one query differ there
@@ -104,12 +108,37 @@ def memo_divergence(rewriter, typed) -> Optional[str]:
     return f"memo gave {len(fast)} line(s), plain {len(plain)}"
 
 
+def cache_divergence(db: Database, query: str,
+                     miss_rows: list[tuple]) -> Optional[str]:
+    """Run ``query`` (rewritten) through ``db`` again, just after the
+    call that cached its plan: None when it was a plan-cache hit with
+    the miss's bag and its cached plan equals a fresh rewrite, else
+    what differs."""
+    from repro.rules.control import RewriteResult
+    hits = db.plan_cache.hits
+    rows = db.query(query, rewrite=True).rows
+    if db.plan_cache.hits != hits + 1:
+        return "the repeated query was not a plan-cache hit"
+    if result_bag(rows) != result_bag(miss_rows):
+        return "hit vs miss: " + describe_bags(miss_rows, rows)
+    entry = db.plan_cache.peek((query, True))
+    fresh = db.optimize(query)
+    cached = rewrite_signature(RewriteResult(entry.plan,
+                                             applications=entry.firings))
+    rewritten = rewrite_signature(RewriteResult(
+        fresh.final, applications=len(fresh.trace)))
+    if cached != rewritten:
+        return f"cached {cached!r} vs fresh {rewritten!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Divergence:
     """One confirmed non-equivalence between execution paths."""
 
     mode: str    # "rewrite[-error]" | "block:<name>" | "tier"
                  # | "analyze[-error]" | "memo[-error]"
+                 # | "cache[-error]"
     detail: str
     query: str
 
@@ -222,6 +251,16 @@ class DifferentialOracle:
             )
         if problem is not None:
             return Divergence("memo", problem, case.query)
+
+        try:
+            problem = cache_divergence(db, case.query, rewritten)
+        except Exception as error:
+            return Divergence(
+                "cache-error", f"{type(error).__name__}: {error}",
+                case.query,
+            )
+        if problem is not None:
+            return Divergence("cache", problem, case.query)
 
         if self.check_subsets:
             for block in db.optimizer.rewriter.seq.blocks:

@@ -51,6 +51,8 @@ class QuarantineRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._entries: dict[str, QuarantineEntry] = {}
+        # bumped whenever the benched set changes (plan caches compare it)
+        self.version = 0
 
     def note(self, block: str, rule: str, detail: str,
              source: str = "checked") -> None:
@@ -63,11 +65,15 @@ class QuarantineRegistry:
                 rule=rule, block=block, source=source, detail=detail,
                 benched_at=time.time(),
             )
+            self.version += 1
 
     def lift(self, rule: str) -> bool:
         """Un-bench a rule (operator override); True when it was benched."""
         with self._lock:
-            return self._entries.pop(rule, None) is not None
+            if self._entries.pop(rule, None) is None:
+                return False
+            self.version += 1
+            return True
 
     def rules(self) -> frozenset:
         with self._lock:

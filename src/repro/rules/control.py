@@ -32,6 +32,7 @@ or "checks") and compared in the A1/A2 ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
@@ -48,7 +49,8 @@ from repro.resilience.policy import (ResiliencePolicy, ResilienceRuntime,
 from repro.rules.rule import RewriteRule, RuleContext
 from repro.terms.term import Fun, Term, replace_at, term_size
 
-__all__ = ["Block", "Seq", "RewriteEngine", "RewriteResult", "TraceEntry"]
+__all__ = ["Block", "Seq", "RewriteEngine", "RewriteResult", "TraceEntry",
+           "REWRITE_EVENTS", "listens"]
 
 _SAFETY_LIMIT = 100_000
 
@@ -312,11 +314,20 @@ class RewriteEngine:
 
 # every event a rewrite emits, directly, through the rule contexts it
 # hands to constraints and methods, or through the resilience runtime
-_REWRITE_EVENTS = frozenset({
+REWRITE_EVENTS = frozenset({
     BlockStart, BlockEnd, PassEnd, RuleAttempt, RuleFired,
     ConstraintCheck, MethodCall, RuleFailed, RuleQuarantined, Degraded,
     DivergenceDetected, CheckedRollback, EquivalenceViolation,
 })
+
+
+def listens(obs, kinds) -> bool:
+    """Would some subscriber of the bus ``obs`` receive an event of
+    one of ``kinds``?  (A bus without ``accepts`` is assumed to.)"""
+    if not obs:
+        return False
+    accepts = getattr(obs, "accepts", None)
+    return accepts is None or accepts(kinds)
 
 
 def _rewrite_bus(obs):
@@ -326,12 +337,7 @@ def _rewrite_bus(obs):
     breaker listens to request events only) is treated as absent, so
     the rewrite builds no events and never reads the clock.
     """
-    if not obs:
-        return None
-    accepts = getattr(obs, "accepts", None)
-    if accepts is None or accepts(_REWRITE_EVENTS):
-        return obs
-    return None
+    return obs if listens(obs, REWRITE_EVENTS) else None
 
 
 class _RuleIndex(dict):
@@ -340,12 +346,17 @@ class _RuleIndex(dict):
     The value holds, in block order, the rules whose lhs root is that
     functor plus the wildcard rules (no ``roots``).  The key of a
     non-``Fun`` subterm is None, which only the wildcards match.
-    Entries are built on first lookup.
+    Entries are built on first lookup.  ``serial`` is unique per
+    process, so a rebuilt index is told apart from the one it
+    replaced.
     """
+
+    _serials = count()
 
     def __init__(self, rules):
         super().__init__()
         self.rules = list(rules)
+        self.serial = next(self._serials)
 
     def __missing__(self, name):
         found = self[name] = tuple(

@@ -9,7 +9,8 @@ import pytest
 from repro.cli import Shell
 from repro.core.explain import validate_explain
 from repro.engine.database import Database
-from repro.errors import QueryCancelled
+from repro.errors import QueryCancelled, TranslationError
+from repro.esql.fingerprint import fingerprint_source
 from repro.pool import PoolConfig
 from repro.server import Server
 
@@ -97,6 +98,48 @@ class TestRouting:
             assert hook not in server.db.commit_hooks
             assert server.query("SELECT A FROM T WHERE A = 3").rows \
                 == [(3,)]
+        finally:
+            server.close()
+
+
+class TestReplicaPlanCache:
+    def test_view_ddl_through_the_feed_changes_the_pooled_answer(self):
+        server = _server()
+        try:
+            server.execute(
+                "CREATE VIEW V (A) AS SELECT A FROM T WHERE A > 1")
+            query = "SELECT A FROM V"
+            fingerprint = fingerprint_source(query).fingerprint
+
+            def pooled():
+                rows = sorted(server.query(query).rows)
+                return rows, server.db.workload.last(fingerprint)
+
+            rows, miss = pooled()
+            assert rows == [(2,), (3,)] and miss["rewrite_ms"] > 0.0
+            rows, hit = pooled()  # the replica reuses its plan
+            assert rows == [(2,), (3,)] and hit["rewrite_ms"] == 0.0
+            assert hit["rule_firings"] == miss["rule_firings"]
+            server.execute("DROP VIEW V")
+            server.execute(
+                "CREATE VIEW V (A) AS SELECT A FROM T WHERE A > 2")
+            rows, after = pooled()
+            assert rows == [(3,)] and after["rewrite_ms"] > 0.0
+            assert server.pool.dispatched == 3
+        finally:
+            server.close()
+
+    def test_a_pooled_read_never_applies_dml(self):
+        # regression: the worker used to run any non-query text it was
+        # sent on its replica and answer with an empty result
+        server = _server()
+        try:
+            with pytest.raises(TranslationError, match="not a query"):
+                server.query("DELETE FROM T WHERE A = 1")
+            assert server.pool.dispatched == 1
+            rows = sorted(server.query("SELECT A FROM T").rows)
+            assert rows == [(1,), (2,), (3,)]
+            assert server.pool.dispatched == 2
         finally:
             server.close()
 
