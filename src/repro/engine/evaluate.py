@@ -13,7 +13,14 @@ physical strategy is deliberately simple and deterministic:
   occurrence of the recursive relation, which also covers the non-linear
   case), with naive recomputation available as the A3 ablation baseline.
 
-Work counters (see :mod:`repro.engine.stats`) are updated throughout.
+Scalar expressions (qualifications, projection items) are compiled
+once per plan node into closures by :meth:`Evaluator.compile`, with
+function implementations resolved from the registry at compile time;
+the per-node setup is reused across fixpoint iterations.
+
+Work counters (see :mod:`repro.engine.stats`) are updated throughout;
+the row loops batch them in locals and flush on the way out, so the
+totals equal per-row increments even when a statement stops early.
 
 Lifecycle governance: when a :class:`~repro.lifecycle.QueryContext` is
 active (passed explicitly or ambient via
@@ -33,11 +40,12 @@ fast path).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.engine.catalog import Catalog
 from repro.engine.stats import EvalStats
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, FunctionError
 from repro.lera import ops
 from repro.lifecycle.context import Truncation, current_context
 from repro.lera.schema import Schema, schema_of
@@ -163,6 +171,8 @@ class Evaluator:
         # scans the same virtual twice (self-join, fixpoint) must see
         # the same point-in-time rows both times
         self._vrows: dict[str, list[tuple]] = {}
+        # per-node compiled setup (see _node_plan)
+        self._plans: dict[Term, Any] = {}
         ctx = self.context
         if ctx is None:
             rows = self._eval_rel(term, {}, {})
@@ -329,39 +339,31 @@ class Evaluator:
             )
         return handler(term, fix_rows, fix_env)
 
-    def _eval_search(self, term: Fun, fix_rows: dict,
-                     fix_env: dict) -> list[tuple]:
+    # -- per-node setup -------------------------------------------------------
+    def _node_plan(self, term: Fun, build: Callable[[Fun], Any]) -> Any:
+        """The compiled setup of one plan node, built on its first
+        evaluation and reused for the rest of this ``evaluate()`` (a
+        fixpoint body re-evaluates the same nodes every iteration)."""
+        plan = self._plans.get(term)
+        if plan is None:
+            plan = self._plans[term] = build(term)
+        return plan
+
+    def _search_plan(self, term: Fun) -> "_SearchPlan":
         inputs, qual, items = ops.search_parts(term)
-        exprs = [ops.item_expr(i) for i in items]
-        out: list[tuple] = []
-        try:
-            for env in self._combinations(inputs, qual, fix_rows,
-                                          fix_env):
-                out.append(tuple(self._eval_expr(e, env) for e in exprs))
-        except Truncation:
-            self._note_truncated()
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
+        return self._qualified_plan(
+            inputs, qual, self._compile_row([ops.item_expr(i)
+                                             for i in items]))
 
-    def _eval_join(self, term: Fun, fix_rows: dict,
-                   fix_env: dict) -> list[tuple]:
-        inputs = ops.rel_list(term)
-        qual = term.args[1]
-        out: list[tuple] = []
-        try:
-            for env in self._combinations(inputs, qual, fix_rows,
-                                          fix_env):
-                row: tuple = ()
-                for part in env:
-                    row += part
-                out.append(row)
-        except Truncation:
-            self._note_truncated()
-        self.stats.incr("tuples_output", len(out))
-        return self._account_out(out)
+    def _join_plan(self, term: Fun) -> "_SearchPlan":
+        return self._qualified_plan(ops.rel_list(term), term.args[1],
+                                    _concat_env)
 
-    def _combinations(self, inputs, qual, fix_rows, fix_env):
-        """Nested-loop product with eager conjunct application.
+    def _qualified_plan(self, inputs, qual: Term,
+                        project: Callable) -> "_SearchPlan":
+        """Split ``qual`` into constant conjuncts and conjuncts grouped
+        by the loop depth at which they close, choose the loop order
+        and compile everything once.
 
         The compound SEARCH gives the system "the necessary degrees of
         freedom to physically optimize" (section 3.1): the loop order is
@@ -380,14 +382,6 @@ class Evaluator:
                     f"the operator has {n} inputs"
                 )
             conj_refs.append((c, refs))
-
-        # constant conjuncts: decide once, before touching any input
-        for c, refs in conj_refs:
-            if not refs:
-                self.stats.incr("qual_evaluations")
-                if not self._truthy(self._eval_expr(c, [])):
-                    return
-
         order = self._greedy_order(n, [refs for __, refs in conj_refs])
 
         # conjuncts grouped by the loop depth at which they close
@@ -399,14 +393,11 @@ class Evaluator:
             if refs:
                 by_depth[max(depth_of[r] for r in refs)].append(c)
 
-        relations = [self._eval_rel(r, fix_rows, fix_env) for r in inputs]
-        env: list = [None] * n
-
         # optional hash joins: for each loop depth > 0 pick one
         # equi-conjunct linking the incoming input to an already-bound
-        # one and index the input on it (ablation A6)
+        # one and index the input on it (ablation A6).  The probe is
+        # chosen from the conjunct terms, not their closures.
         hash_probe: list = [None] * n
-        indexes: list = [None] * n
         if self.hash_joins:
             for depth in range(1, n):
                 pos = order[depth]
@@ -417,47 +408,115 @@ class Evaluator:
                         hash_probe[depth] = probe
                         break
 
+        compile_ = self.compile
+        return _SearchPlan(
+            inputs=inputs,
+            constant=[compile_(c) for c, refs in conj_refs if not refs],
+            order=order,
+            by_depth=[[compile_(c) for c in cs] for cs in by_depth],
+            hash_probe=hash_probe,
+            project=project,
+        )
+
+    # -- SEARCH / JOIN ----------------------------------------------------------
+    def _eval_search(self, term: Fun, fix_rows: dict,
+                     fix_env: dict) -> list[tuple]:
+        return self._eval_qualified(
+            self._node_plan(term, self._search_plan), fix_rows, fix_env)
+
+    def _eval_join(self, term: Fun, fix_rows: dict,
+                   fix_env: dict) -> list[tuple]:
+        return self._eval_qualified(
+            self._node_plan(term, self._join_plan), fix_rows, fix_env)
+
+    def _eval_qualified(self, plan: "_SearchPlan", fix_rows: dict,
+                        fix_env: dict) -> list[tuple]:
+        out: list[tuple] = []
+        try:
+            self._combinations(plan, fix_rows, fix_env, out)
+        except Truncation:
+            self._note_truncated()
+        self.stats.incr("tuples_output", len(out))
+        return self._account_out(out)
+
+    def _combinations(self, plan: "_SearchPlan", fix_rows: dict,
+                      fix_env: dict, out: list) -> None:
+        """Nested-loop product with eager conjunct application: appends
+        ``plan.project(env)`` to ``out`` for every qualifying
+        combination.
+
+        The work counters are kept in locals and flushed once on the
+        way out -- normal return or any exception alike -- so they
+        equal per-row increments exactly.
+        """
+        counters = self.stats.counters
+        # constant conjuncts: decide once, before touching any input
+        for c in plan.constant:
+            counters["qual_evaluations"] += 1
+            if not c([]):
+                return
+
+        relations = [self._eval_rel(r, fix_rows, fix_env)
+                     for r in plan.inputs]
+        order = plan.order
+        by_depth = plan.by_depth
+        hash_probe = plan.hash_probe
+        project = plan.project
+        emit = out.append
+        n = len(order)
+        last = n - 1
+        env: list = [None] * n
+        indexes: list = [None] * n
         # the join-probe cooperative check site: one tick per candidate
         # row extended at any depth (captured locally -- the per-row
         # cost without a context is exactly one None test)
         ctx = self.context
+        scanned = pairs = quals = 0
 
-        def extend(depth: int):
-            if depth == n:
-                yield list(env)
-                return
-            pos = order[depth]
+        def extend(depth: int) -> None:
+            nonlocal scanned, pairs, quals
+            slot = order[depth] - 1
             probe = hash_probe[depth]
             if probe is not None:
                 own_col, other_ref = probe
                 if indexes[depth] is None:
                     index: dict = {}
-                    for row in relations[pos - 1]:
+                    for row in relations[slot]:
                         index.setdefault(row[own_col - 1], []).append(row)
                     indexes[depth] = index
                 key = env[other_ref.rel - 1][other_ref.pos - 1]
                 candidates = indexes[depth].get(key, ())
             else:
-                candidates = relations[pos - 1]
+                candidates = relations[slot]
+            conds = by_depth[depth]
             for row in candidates:
-                if depth == 0:
-                    self.stats.incr("tuples_scanned")
+                if depth:
+                    pairs += 1
                 else:
-                    self.stats.incr("join_pairs")
+                    scanned += 1
                 if ctx is not None:
                     ctx.tick()
-                env[pos - 1] = row
-                ok = True
-                for c in by_depth[depth]:
-                    self.stats.incr("qual_evaluations")
-                    if not self._truthy(self._eval_expr(c, env)):
-                        ok = False
+                env[slot] = row
+                for c in conds:
+                    quals += 1
+                    if not c(env):
                         break
-                if ok:
-                    yield from extend(depth + 1)
-            env[pos - 1] = None
+                else:
+                    if depth == last:
+                        emit(project(env))
+                    else:
+                        extend(depth + 1)
+            env[slot] = None
 
-        yield from extend(0)
+        try:
+            if n:
+                extend(0)
+            else:
+                emit(project(env))
+        finally:
+            counters["tuples_scanned"] += scanned
+            counters["join_pairs"] += pairs
+            counters["qual_evaluations"] += quals
 
     @staticmethod
     def _greedy_order(n: int, conj_refs: list) -> list[int]:
@@ -479,37 +538,40 @@ class Evaluator:
             pending = [refs for refs in pending if not refs <= bound]
         return order
 
+    # -- single-input operators -------------------------------------------------
     def _eval_filter(self, term: Fun, fix_rows: dict,
                      fix_env: dict) -> list[tuple]:
         rows = self._eval_rel(term.args[0], fix_rows, fix_env)
-        qual = term.args[1]
+        pred = self._node_plan(term, lambda t: self.compile(t.args[1]))
         ctx = self.context
         out = []
+        quals = 0
         try:
             for row in rows:
                 if ctx is not None:
                     ctx.tick()
-                self.stats.incr("qual_evaluations")
-                if self._truthy(self._eval_expr(qual, [row])):
+                quals += 1
+                if pred((row,)):
                     out.append(row)
         except Truncation:
             self._note_truncated()
+        finally:
+            self.stats.counters["qual_evaluations"] += quals
         self.stats.incr("tuples_output", len(out))
         return self._account_out(out)
 
     def _eval_projection(self, term: Fun, fix_rows: dict,
                          fix_env: dict) -> list[tuple]:
         rows = self._eval_rel(term.args[0], fix_rows, fix_env)
-        exprs = [ops.item_expr(i) for i in ops.proj_items(term)]
+        project = self._node_plan(term, lambda t: self._compile_row(
+            [ops.item_expr(i) for i in ops.proj_items(t)]))
         ctx = self.context
         out = []
         try:
             for row in rows:
                 if ctx is not None:
                     ctx.tick()
-                out.append(tuple(
-                    self._eval_expr(e, [row]) for e in exprs
-                ))
+                out.append(project((row,)))
         except Truncation:
             self._note_truncated()
         self.stats.incr("tuples_output", len(out))
@@ -535,40 +597,41 @@ class Evaluator:
                           fix_env: dict, keep: bool) -> list[tuple]:
         left = self._eval_rel(term.args[0], fix_rows, fix_env)
         right = self._eval_rel(term.args[1], fix_rows, fix_env)
-        qual = term.args[2]
+        pred = self._node_plan(term, lambda t: self.compile(t.args[2]))
         ctx = self.context
         out = []
+        scanned = pairs = 0
         try:
             for row in left:
-                self.stats.incr("tuples_scanned")
+                scanned += 1
                 if ctx is not None:
                     ctx.tick()
                 found = False
                 for partner in right:
-                    self.stats.incr("join_pairs")
-                    self.stats.incr("qual_evaluations")
+                    # one qualification evaluation per join pair
+                    pairs += 1
                     if ctx is not None:
                         ctx.tick()
-                    if self._truthy(
-                            self._eval_expr(qual, [row, partner])):
+                    if pred((row, partner)):
                         found = True
                         break
                 if found == keep:
                     out.append(row)
         except Truncation:
             self._note_truncated()
+        finally:
+            counters = self.stats.counters
+            counters["tuples_scanned"] += scanned
+            counters["join_pairs"] += pairs
+            counters["qual_evaluations"] += pairs
         self.stats.incr("tuples_output", len(out))
         return self._account_out(out)
 
     def _eval_values(self, term: Fun, fix_rows: dict,
                      fix_env: dict) -> list[tuple]:
         rows_list = term.args[0]
-        out = []
-        for row_term in rows_list.args:  # type: ignore[union-attr]
-            out.append(tuple(
-                self._eval_expr(cell, []) for cell in row_term.args
-            ))
-        return out
+        return [self._compile_row(row_term.args)(())
+                for row_term in rows_list.args]  # type: ignore[union-attr]
 
     def _eval_union(self, term: Fun, fix_rows: dict,
                     fix_env: dict) -> list[tuple]:
@@ -762,51 +825,174 @@ class Evaluator:
         self.stats.incr("tuples_output", len(out))
         return self._account_out(out)
 
-    # -- scalar expressions ----------------------------------------------------
-    def _eval_expr(self, expr: Term, env: Sequence[tuple]) -> Any:
+    # -- scalar expressions -----------------------------------------------------
+    def compile(self, expr: Term) -> Callable[[Sequence[tuple]], Any]:
+        """Compile one scalar expression into ``closure(env) -> value``.
+
+        ``env`` is the sequence of bound input rows (``#i.j`` reads
+        ``env[i-1][j-1]``).  Function implementations are resolved
+        from the registry here, once; a failed lookup compiles to a
+        closure that raises when called, so errors stay as lazy as
+        evaluation itself (a conjunct over an empty input never
+        raises).  Registry implementations receive this evaluator as
+        their context.
+        """
         if isinstance(expr, Const):
-            if expr.kind == "symbol":
-                return str(expr.value)
-            return expr.value
-
+            value = str(expr.value) if expr.kind == "symbol" \
+                else expr.value
+            return lambda env: value
         if isinstance(expr, AttrRef):
-            if expr.rel - 1 >= len(env):
+            return _compile_attr(expr)
+        if not isinstance(expr, Fun):
+            def invalid(env):
                 raise EvaluationError(
-                    f"attribute reference #{expr.rel}.{expr.pos} exceeds "
+                    f"cannot evaluate expression {expr!r}")
+            return invalid
+
+        name = expr.name
+        args = [self.compile(a) for a in expr.args]
+        if name == "AND":
+            if len(args) == 2:
+                a, b = args
+                return lambda env: True if a(env) and b(env) else False
+            return lambda env: all(f(env) for f in args)
+        if name == "OR":
+            if len(args) == 2:
+                a, b = args
+                return lambda env: True if a(env) or b(env) else False
+            return lambda env: any(f(env) for f in args)
+        if name == "NOT" and args:
+            a = args[0]
+            return lambda env: not a(env)
+        if name == "AS" and args:
+            return args[0]
+
+        registry = self.catalog.registry
+        try:
+            impl = registry.lookup(name, len(args)).impl
+        except FunctionError:
+            # evaluate the arguments, then let the registry raise
+            def deferred(env):
+                return registry.call(name, [f(env) for f in args], self)
+            return deferred
+        if len(args) == 2:
+            return _binary(impl, self, expr.args, args)
+        if len(args) == 1:
+            a = args[0]
+            return lambda env: impl([a(env)], self)
+        return lambda env: impl([f(env) for f in args], self)
+
+    def _compile_row(self, exprs: Sequence[Term]) -> Callable:
+        """Compile a list of expressions into ``closure(env) -> tuple``.
+        Two or more attributes of one input are read by one
+        ``itemgetter``; an out-of-range reference falls back to the
+        per-item closures, which raise its EvaluationError."""
+        fns = [self.compile(e) for e in exprs]
+        if len(fns) == 1:
+            f = fns[0]
+            return lambda env: (f(env),)
+
+        def items(env):
+            return tuple([f(env) for f in fns])
+        if not all(isinstance(e, AttrRef) for e in exprs) \
+                or len({e.rel for e in exprs}) != 1:
+            return items
+        rel = exprs[0].rel - 1
+        getter = itemgetter(*[e.pos - 1 for e in exprs])
+
+        def attrs(env):
+            try:
+                return getter(env[rel])
+            except IndexError:
+                return items(env)
+        return attrs
+
+
+class _SearchPlan(NamedTuple):
+    """The compiled setup of one SEARCH/JOIN node (see
+    :meth:`Evaluator._qualified_plan`)."""
+
+    inputs: tuple
+    constant: list
+    order: list
+    by_depth: list
+    hash_probe: list
+    project: Callable
+
+
+def _compile_attr(ref: AttrRef) -> Callable:
+    rel, pos = ref.rel - 1, ref.pos - 1
+
+    def attr(env):
+        try:
+            return env[rel][pos]
+        except IndexError:
+            if rel >= len(env):
+                raise EvaluationError(
+                    f"attribute reference #{ref.rel}.{ref.pos} exceeds "
                     f"the {len(env)} bound relation(s)"
-                )
-            row = env[expr.rel - 1]
-            if expr.pos - 1 >= len(row):
+                ) from None
+            if pos >= len(env[rel]):
                 raise EvaluationError(
-                    f"attribute reference #{expr.rel}.{expr.pos} exceeds "
-                    f"the row width {len(row)}"
-                )
-            return row[expr.pos - 1]
+                    f"attribute reference #{ref.rel}.{ref.pos} exceeds "
+                    f"the row width {len(env[rel])}"
+                ) from None
+            raise
+    return attr
 
-        if isinstance(expr, Fun):
-            name = expr.name
-            if name == "AND":
-                return all(
-                    self._truthy(self._eval_expr(a, env))
-                    for a in expr.args
-                )
-            if name == "OR":
-                return any(
-                    self._truthy(self._eval_expr(a, env))
-                    for a in expr.args
-                )
-            if name == "NOT":
-                return not self._truthy(self._eval_expr(expr.args[0], env))
-            if name == "AS":
-                return self._eval_expr(expr.args[0], env)
-            args = [self._eval_expr(a, env) for a in expr.args]
-            return self.catalog.registry.call(name, args, self)
 
-        raise EvaluationError(f"cannot evaluate expression {expr!r}")
+def _binary(impl: Callable, ctx: "Evaluator", terms: Sequence[Term],
+            fns: Sequence[Callable]) -> Callable:
+    """``impl([a, b], ctx)`` with an attribute or constant operand read
+    inline instead of through its own closure (the shape of nearly
+    every comparison).  An out-of-range reference falls back to the
+    operand's closure, which raises its EvaluationError."""
+    (ta, tb), (a, b) = terms, fns
+    if isinstance(ta, AttrRef) and isinstance(tb, (AttrRef, Const)):
+        ra, pa = ta.rel - 1, ta.pos - 1
+        if isinstance(tb, Const):
+            bv = b(())
 
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        return bool(value)
+            def attr_const(env):
+                try:
+                    x = env[ra][pa]
+                except IndexError:
+                    x = a(env)
+                return impl([x, bv], ctx)
+            return attr_const
+        rb, pb = tb.rel - 1, tb.pos - 1
+
+        def attr_attr(env):
+            try:
+                x = env[ra][pa]
+            except IndexError:
+                x = a(env)
+            try:
+                y = env[rb][pb]
+            except IndexError:
+                y = b(env)
+            return impl([x, y], ctx)
+        return attr_attr
+    if isinstance(ta, Const) and isinstance(tb, AttrRef):
+        av = a(())
+        rb, pb = tb.rel - 1, tb.pos - 1
+
+        def const_attr(env):
+            try:
+                y = env[rb][pb]
+            except IndexError:
+                y = b(env)
+            return impl([av, y], ctx)
+        return const_attr
+    return lambda env: impl([a(env), b(env)], ctx)
+
+
+def _concat_env(env: Sequence[tuple]) -> tuple:
+    """A JOIN's output row: its bound input rows side by side."""
+    row: tuple = ()
+    for part in env:
+        row += part
+    return row
 
 
 def _estimate_bytes(rows: list) -> int:

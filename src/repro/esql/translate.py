@@ -284,9 +284,10 @@ class Translator:
                 [relation.schema], self.catalog,
             )
         evaluator = Evaluator(self.catalog)
+        predicate = evaluator.compile(qual)
 
         def matches(row) -> bool:
-            return bool(evaluator._eval_expr(qual, [row]))
+            return bool(predicate((row,)))
 
         return relation, evaluator, matches
 
@@ -324,7 +325,8 @@ class Translator:
                 self._translate_expr(expr, [entry]),
                 [relation.schema], self.catalog,
             )
-            compiled.append((position, value_expr))
+            compiled.append((position - 1, evaluator.compile(value_expr),
+                             relation.schema.attr_type(position)))
 
         # stage the full replacement row list first: an evaluation or
         # coercion error (or a key violation inside replace_rows) then
@@ -339,11 +341,9 @@ class Translator:
                 staged.append(row)
                 continue
             new_row = list(row)
-            for position, value_expr in compiled:
-                value = evaluator._eval_expr(value_expr, [row])
-                dtype = relation.schema.attr_type(position)
-                new_row[position - 1] = coerce_value(
-                    value, dtype, self.catalog.objects
+            for index, value_of, dtype in compiled:
+                new_row[index] = coerce_value(
+                    value_of((row,)), dtype, self.catalog.objects
                 )
             staged.append(tuple(new_row))
             changed += 1

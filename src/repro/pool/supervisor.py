@@ -111,6 +111,7 @@ class _Slot:
     def __init__(self, slot_id: str):
         self.id = slot_id
         self.proc: Optional[subprocess.Popen] = None
+        self.reader: Optional[threading.Thread] = None
         self.state = "dead"  # starting | idle | busy | dead | stopped
         self.version = 0
         self.last_beat = 0.0
@@ -175,7 +176,10 @@ class Supervisor:
         self._stop_event.set()
         for slot in self._slots:
             proc = slot.proc
-            if proc is None or proc.poll() is not None:
+            if proc is None:
+                continue
+            if proc.poll() is not None:
+                self._close_pipes(proc, slot.reader)
                 continue
             slot.deliberate_kill = True
             try:
@@ -187,6 +191,7 @@ class Supervisor:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            self._close_pipes(proc, slot.reader)
             slot.state = "stopped"
             # a dispatcher parked on this worker must not hang forever
             pending = slot.pending
@@ -531,7 +536,7 @@ class Supervisor:
             cancelling = slot.cancel_sent_at is not None
             deliberate = slot.deliberate_kill
             slot.deliberate_kill = False
-        proc = slot.proc
+            proc, reader = slot.proc, slot.reader
         returncode = None
         if proc is not None:
             try:
@@ -539,6 +544,7 @@ class Supervisor:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 returncode = proc.wait()
+            self._close_pipes(proc, reader)
         exit_code = returncode if (returncode or 0) >= 0 else None
         died_signal = -returncode if (returncode or 0) < 0 else None
         crashed = not deliberate
@@ -580,6 +586,25 @@ class Supervisor:
             pending.event.set()
         if crashed:
             self._note_crash_for_breaker()
+
+    @staticmethod
+    def _close_pipes(proc: subprocess.Popen,
+                     reader: Optional[threading.Thread]) -> None:
+        """Close a reaped worker's pipes.  With the process gone its
+        reader thread reaches EOF and returns; wait briefly for that,
+        since closing a buffered stream blocks while another thread
+        reads it."""
+        if reader is not None and reader is not threading.current_thread():
+            reader.join(timeout=1.0)
+        streams = [proc.stdin]
+        if reader is None or not reader.is_alive():
+            streams.append(proc.stdout)
+        for stream in streams:
+            if stream is not None:
+                try:
+                    stream.close()
+                except (OSError, ValueError):
+                    pass  # flushing a pending write to a dead peer
 
     def _note_crash_for_breaker(self) -> None:
         config = self.config
@@ -632,6 +657,7 @@ class Supervisor:
             return
         with self._lock:
             slot.proc = proc
+            slot.reader = None
             slot.state = "starting"
             slot.version = version
             slot.spawned_at = time.perf_counter()
@@ -652,10 +678,11 @@ class Supervisor:
             send_frame(proc.stdin, boot)
         except (OSError, ValueError):
             return  # sweep() reaps and reschedules
-        threading.Thread(
+        slot.reader = threading.Thread(
             target=self._read_loop, args=(slot, proc), daemon=True,
             name=f"repro-pool-{slot.id}-reader",
-        ).start()
+        )
+        slot.reader.start()
         if slot.restarts:
             self._inc("pool.restarts")
         bus = self.obs
@@ -667,12 +694,13 @@ class Supervisor:
     def _read_loop(self, slot: _Slot, proc: subprocess.Popen) -> None:
         """Per-worker frame pump: heartbeats refresh liveness, results
         complete the parked dispatcher.  Exits on EOF; death itself is
-        settled by :meth:`sweep` / :meth:`_handle_death`."""
+        settled by :meth:`sweep` / :meth:`_handle_death`, which close
+        the pipes once the process is reaped."""
         stream = proc.stdout
         while True:
             try:
                 frame = recv_frame(stream)
-            except FrameError:
+            except (FrameError, OSError, ValueError):
                 return
             if frame is None:
                 return

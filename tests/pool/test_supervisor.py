@@ -7,10 +7,12 @@ the death in its wait loop, and the failover policy answers.  No
 sleep-and-hope timing against an in-flight statement.
 """
 
+import gc
 import os
 import signal
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -176,6 +178,35 @@ class TestFailurePolicy:
                 == [(1,)]
         finally:
             pool.stop()
+
+
+class TestPipes:
+    def test_reaped_workers_leave_no_open_pipes(self):
+        gc.collect()  # earlier tests' garbage must not be counted here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            db = _database()
+            pool = _pool(db)
+            try:
+                procs = [pool._slots[0].proc]
+                slot = _kill_idle(pool)
+                deadline = time.perf_counter() + 30.0
+                while slot.restarts == 0 \
+                        and time.perf_counter() < deadline:
+                    time.sleep(0.01)
+                assert pool.wait_ready(timeout_s=60.0, workers=1)
+                procs.append(slot.proc)
+            finally:
+                pool.stop()
+            assert procs[0] is not procs[1]
+            for proc in procs:
+                assert proc.returncode is not None
+                assert proc.stdin.closed and proc.stdout.closed
+            del pool, slot, procs
+            gc.collect()
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
 
 class TestCancellation:
